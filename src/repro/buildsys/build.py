@@ -30,7 +30,8 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tupl
 
 from repro.faults import FaultClock, FaultPlan, RetriesExhausted
 from repro.obs import Counters
-from repro.runtime import ParallelExecutor, PersistentActionStore, resolve_cache_dir
+from repro.runtime import PersistentActionStore, resolve_cache_dir
+from repro.runtime.executor import shared_executor
 
 #: Simulated cost of replaying a cached action: fetching the stored
 #: outputs from the content-addressed store instead of re-executing.
@@ -314,23 +315,15 @@ class BuildSystem:
         self,
         kind: str,
         items: "Sequence[Tuple[Sequence[str], Callable[..., Tuple[Any, float, int]], tuple]]",
-        executor: Optional[ParallelExecutor] = None,
         remote: bool = True,
     ) -> List[ActionResult]:
         """Execute a batch of independent same-kind actions through the
-        cache, fanning cache misses across ``executor``'s processes.
+        cache, running the misses through the shared executor.
 
         Each item is ``(key_parts, fn, args)`` where ``fn(*args)``
         returns the usual ``(value, cost_seconds, peak_memory)`` triple
-        and must be a pure, module-level (picklable) callable -- unlike
-        :meth:`run_action`'s closure, a batch compute function crosses
-        process boundaries.
-
-        Determinism contract: results are returned in item order, cache
-        lookups and stores happen serially in the submitting process in
-        item order, and workers only ever run ``fn``.  A batch executed
-        with any ``executor`` is therefore bit-identical to the same
-        batch executed serially, and leaves identical cache state.
+        and must be pure.  Results are returned in item order, and
+        cache lookups and stores happen in item order.
         """
         keys = [action_key(kind, *key_parts) for key_parts, _fn, _args in items]
         entries = [self.cache.lookup(key) for key in keys]
@@ -342,10 +335,7 @@ class BuildSystem:
         charged: Dict[int, float] = {}
         if miss_idx:
             tasks = [(items[i][1], items[i][2]) for i in miss_idx]
-            if executor is not None:
-                computed = executor.map(_call_compute, tasks)
-            else:
-                computed = [fn(*args) for fn, args in tasks]
+            computed = shared_executor().map(_call_compute, tasks)
             for i, (value, cost_seconds, peak_memory) in zip(miss_idx, computed):
                 if remote and self.enforce_ram and peak_memory > self.ram_limit:
                     self.counters.incr("ram.rejections")
@@ -353,8 +343,8 @@ class BuildSystem:
                         kind, needed=peak_memory, limit=self.ram_limit
                     )
                 # Fault charges are drawn per action *digest*, never per
-                # schedule slot, so this serial walk accrues exactly the
-                # faults any parallel execution of the batch would.
+                # schedule slot, so they do not depend on how the
+                # simulated pool orders the batch.
                 charged[i] = self._charge_faults(kind, keys[i], cost_seconds)
                 entry = _CacheEntry(
                     value=value, cost_seconds=cost_seconds, peak_memory=peak_memory
@@ -388,5 +378,5 @@ class BuildSystem:
 
 
 def _call_compute(fn: Callable[..., Tuple[Any, float, int]], args: tuple):
-    """Module-level trampoline so batch tasks pickle into worker processes."""
+    """Applies one batch task: the executor maps a single callable."""
     return fn(*args)

@@ -524,12 +524,10 @@ def compile_action(
     """One backend action: ``(artifact, simulated cost, modelled peak RAM)``.
 
     This is :func:`compile_module` packaged in the build system's
-    action-compute signature as a module-level function, so batch
-    executors can pickle it into worker processes (the pipeline's
-    historical closure could not cross a process boundary).  It must
-    stay pure: everything an action produces is derived from its
-    arguments, which is what makes parallel fan-out and cache replay
-    bit-identical to serial execution.
+    action-compute signature, as a batch item of
+    :meth:`~repro.buildsys.BuildSystem.run_batch`.  It must stay pure:
+    everything an action produces is derived from its arguments, which
+    is what makes cache replay bit-identical to a fresh compile.
     """
     compiled = compile_module(module, options)
     cost = fixed_seconds + compiled.num_instrs * seconds_per_instr

@@ -30,6 +30,8 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
+from repro.runtime.executor import shared_executor
+
 NodeId = Hashable
 
 
@@ -283,7 +285,7 @@ def _order_task(
     entry: Optional[NodeId],
     params: LayoutParams,
 ) -> List[NodeId]:
-    """Module-level (picklable) form of :func:`ext_tsp_order`."""
+    """:func:`ext_tsp_order` with positional parameters, for ``executor.map``."""
     return ext_tsp_order(nodes, edges, entry=entry, params=params)
 
 
@@ -321,30 +323,24 @@ def ext_tsp_order_many(
         Tuple[Dict[NodeId, Tuple[int, float]], Iterable[Tuple[NodeId, NodeId, float]], Optional[NodeId]]
     ],
     params: LayoutParams = DEFAULT_PARAMS,
-    executor: Optional[object] = None,
     cache: Optional[object] = None,
 ) -> List[List[NodeId]]:
     """Solve many independent layout problems, orders in input order.
 
-    Each problem is ``(nodes, edges, entry)``.  WPA's per-function
-    layout is embarrassingly parallel -- every hot function is its own
-    problem -- so when an ``executor`` (anything with the
-    :meth:`repro.runtime.ParallelExecutor.map` contract) is given, the
-    solves fan out across worker processes; the solver itself is fully
-    deterministic, so the executor cannot change any order returned.
+    Each problem is ``(nodes, edges, entry)``; WPA's per-function layout
+    makes every hot function its own problem.  The solves run through
+    the shared :class:`repro.runtime.ParallelExecutor`.
 
     ``cache`` (the :class:`repro.runtime.FunctionSolveCache` contract:
     ``get(key) -> order | None`` / ``put(key, order)``) memoizes solves
     by :func:`solve_signature`: problems whose signature is cached are
-    replayed without solving, only the misses run (still fanned over
-    ``executor``), and fresh solutions are stored.  Lookups happen in
-    the submitting process, in input order, so hit/miss accounting is
-    deterministic and jobs-invariant.
+    replayed without solving, only the misses run, and fresh solutions
+    are stored.  Lookups happen in input order, so hit/miss accounting
+    is deterministic.
     """
+    executor = shared_executor()
     tasks = [(nodes, list(edges), entry, params) for nodes, edges, entry in problems]
     if cache is None:
-        if executor is None:
-            return [_order_task(*task) for task in tasks]
         return executor.map(_order_task, tasks)
 
     results: List[Optional[List[NodeId]]] = []
@@ -358,10 +354,7 @@ def ext_tsp_order_many(
             miss_tasks.append(task)
             miss_slots.append((i, key))
     if miss_tasks:
-        if executor is None:
-            solved = [_order_task(*task) for task in miss_tasks]
-        else:
-            solved = executor.map(_order_task, miss_tasks)
+        solved = executor.map(_order_task, miss_tasks)
         for (i, key), order in zip(miss_slots, solved):
             cache.put(key, order)
             results[i] = order

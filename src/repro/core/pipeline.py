@@ -63,13 +63,7 @@ from repro.profiles import (
     match_profile,
     sample_lbr,
 )
-from repro.runtime import (
-    FunctionSolveCache,
-    ParallelExecutor,
-    default_jobs,
-    resolve_cache_dir,
-)
-from repro.runtime.executor import shared_executor
+from repro.runtime import FunctionSolveCache, resolve_cache_dir
 
 #: Modelled cost of the instrumented (``-fprofile-generate``) build
 #: relative to the optimized baseline build it precedes: slightly
@@ -122,13 +116,6 @@ class PipelineConfig:
     workers: int = 1000
     enforce_ram: bool = True
     ram_limit: int = 12 << 30
-    #: Real worker *processes* used to execute backend actions and
-    #: per-function layout on this machine.  ``None`` derives the count
-    #: from the simulated pool: ``min(workers, cpu count)``.  This knob
-    #: never changes any artifact or simulated quantity -- parallel and
-    #: serial runs are bit-identical (see ``PipelineResult.digest``);
-    #: it only changes how fast the simulation itself runs.
-    jobs: Optional[int] = None
     #: Directory for the persistent action cache.  ``None`` falls back
     #: to the ``REPRO_CACHE_DIR`` environment variable; when neither is
     #: set, caching is in-memory only and runs start cold, as before.
@@ -316,11 +303,11 @@ class PipelineResult:
 
         Deliberately covers *content only* -- the three binaries and
         the WPA directives -- and excludes all timing and cache-hit
-        accounting: ``jobs``, the simulated ``workers`` pool and a warm
+        accounting: the simulated ``workers`` pool and a warm
         persistent cache are allowed to change how fast a result is
         produced (real and simulated), never what is produced.  Equal
-        digests therefore mean a parallel, serial, cold or warm run of
-        the same configuration built the same binaries.
+        digests therefore mean a cold or warm run of the same
+        configuration, on any pool size, built the same binaries.
         """
         h = hashlib.sha256()
         for outcome in (self.baseline, self.metadata, self.optimized):
@@ -537,6 +524,11 @@ class PropellerPipeline:
         build systems keep their own accounting.
     """
 
+    #: Real processes a run uses: always 1, since every task runs
+    #: serially (:mod:`repro.runtime.executor`).  Kept only because the
+    #: release benchmark (``releasebench/``) reads and reports it.
+    jobs = 1
+
     def __init__(
         self,
         program: ir.Program,
@@ -571,7 +563,6 @@ class PropellerPipeline:
         if config.incremental or config.state_dir:
             solve_root = Path(config.state_dir) / "solves" if config.state_dir else None
             self.solve_cache = FunctionSolveCache(solve_root, counters=self.counters)
-        self.jobs = config.jobs if config.jobs is not None else default_jobs(config.workers)
         self._digests: Dict[str, str] = {}
         # id -> (options, signature); the options reference keeps the
         # object alive so a recycled id can never alias a stale entry.
@@ -581,17 +572,6 @@ class PropellerPipeline:
 
     # ------------------------------------------------------------------
     # Build helpers
-
-    @property
-    def executor(self) -> Optional[ParallelExecutor]:
-        """The process pool backend actions fan out over (None = serial)."""
-        if self.jobs <= 1:
-            return None
-        executor = shared_executor(self.jobs)
-        # Route the shared pool's real-execution metrics ("pool.*") to
-        # this pipeline's sink while it is the active user.
-        executor.counters = self.counters
-        return executor
 
     def _digest(self, module: ir.Module) -> str:
         digest = self._digests.get(module.name)
@@ -625,13 +605,13 @@ class PropellerPipeline:
         per_module_options: Optional[Dict[str, CodeGenOptions]] = None,
         per_module_tags: Optional[Dict[str, str]] = None,
     ) -> BuildOutcome:
-        """Compile every module (through the cache, in parallel) and link.
+        """Compile every module (through the cache) and link.
 
         All backend actions of one build are independent, so they run
-        as a single batch: cache misses fan out across the pipeline's
-        worker processes, in deterministic (module) order.  The link is
-        itself an action keyed by the backend action keys plus the link
-        options, so a warm cache replays it too.
+        as a single batch, cache misses in deterministic (module)
+        order.  The link is itself an action keyed by the backend
+        action keys plus the link options, so a warm cache replays it
+        too.
         """
         config = self.config
         items = []
@@ -657,7 +637,7 @@ class PropellerPipeline:
         )
         with build_span:
             with self.tracer.span("codegen-batch", category="batch") as sp:
-                actions = self.buildsys.run_batch("codegen", items, executor=self.executor)
+                actions = self.buildsys.run_batch("codegen", items)
                 backends = self.buildsys.schedule(actions)
                 sp.advance(backends.wall_seconds)
                 sp.note(actions=backends.actions, cache_hits=backends.cache_hits,
@@ -779,18 +759,15 @@ class PropellerPipeline:
         """Whole-program analysis as a cached action.
 
         Keyed by the metadata binary, the perf data's producing action
-        and the WPA options; per-function layout fans out over the
-        pipeline's worker processes on a miss.
+        and the WPA options.
         """
         config = self.config
-        executor = self.executor
         tracer = self.tracer
         solve_cache = self.solve_cache
 
         def _compute():
             wpa_result = wpa_mod.analyze(
-                metadata_exe, perf, config.wpa, executor=executor, tracer=tracer,
-                solve_cache=solve_cache,
+                metadata_exe, perf, config.wpa, tracer=tracer, solve_cache=solve_cache,
             )
             cost = wpa_result.stats.cost_units * config.wpa_seconds_per_unit
             return wpa_result, cost, wpa_result.stats.peak_memory_bytes
@@ -924,12 +901,6 @@ class PropellerPipeline:
             metadata.executable, perf, perf_key=perf.digest()
         )
         return result
-
-    @staticmethod
-    def _empty_wpa_result() -> WPAResult:
-        """Deprecated alias of :func:`empty_wpa_result` (kept for API
-        compatibility; the fallback now lives on the ``wpa`` stage)."""
-        return empty_wpa_result()
 
     def run_stages(
         self,

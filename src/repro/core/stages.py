@@ -548,9 +548,6 @@ class StageGraph:
                 "unknown-stage", f"no stage named {name!r}", stage=name
             ) from None
 
-    def producer_of(self, artifact_name: str) -> Optional[Stage]:
-        return self._producer.get(artifact_name)
-
     def describe(self) -> Dict[str, Any]:
         """The DAG as plain data (JSON-able, schema-versioned)."""
         edges = []

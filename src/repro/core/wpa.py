@@ -179,13 +179,6 @@ class _AddressMapIndex:
         i = self._func_index(func)
         return [e.bb_id for e in self.func_maps[i].entries[lo_pos : hi_pos + 1]]
 
-    def block_size(self, func: str, bb_id: int) -> int:
-        i = self._func_index(func)
-        for entry in self.func_maps[i].entries:
-            if entry.bb_id == bb_id:
-                return entry.size
-        raise KeyError(f"{func}: no block {bb_id}")
-
     def function_map(self, func: str) -> bbaddrmap.FunctionMap:
         return self.func_maps[self._func_index(func)]
 
@@ -291,10 +284,9 @@ def _superblock_problem(
     """Project one function's DCFG onto superblock leaders.
 
     The cheap half of :func:`_superblock_layout`: grouping and edge
-    projection stay in the submitting process; the returned
-    ``(nodes, edges, entry)`` problem is what the (possibly remote)
-    Ext-TSP solve consumes.  Also returns ``by_leader`` for flattening
-    the solved leader order back to block ids.
+    projection; the returned ``(nodes, edges, entry)`` problem is what
+    the Ext-TSP solve consumes.  Also returns ``by_leader`` for
+    flattening the solved leader order back to block ids.
     """
     groups = _merge_superblocks(hot_ids, counts, edges)
     leader_of: Dict[int, int] = {}
@@ -357,7 +349,6 @@ def _intra_layout(
     options: WPAOptions,
     meter: MemoryMeter,
     min_count: float = 0.0,
-    executor: Optional[object] = None,
     solve_cache: Optional[object] = None,
 ) -> Tuple[Dict[str, List[List[int]]], List[str], List[str]]:
     clusters: Dict[str, List[List[int]]] = {}
@@ -389,16 +380,16 @@ def _intra_layout(
         pending.append((name, hot_ids, sizes, by_leader))
         problems.append((nodes, projected, entry_leader))
 
-    # Pass 2 (the Ext-TSP solves): embarrassingly parallel, one problem
-    # per hot function, results in submission order.  A solve cache
-    # replays functions whose problem content is unchanged since a
-    # prior release (see repro.incr); only dirty functions solve.
+    # Pass 2 (the Ext-TSP solves): one independent problem per hot
+    # function, results in submission order.  A solve cache replays
+    # functions whose problem content is unchanged since a prior
+    # release (see repro.incr); only dirty functions solve.
     orders = ext_tsp_order_many(problems, params=options.layout_params,
-                                executor=executor, cache=solve_cache)
+                                cache=solve_cache)
 
     # Pass 3: flatten and account, in the same order.  The modelled
     # memory sequence (allocate/solve/free per function) is replayed
-    # here identically, so parallel execution cannot move the peak.
+    # here, after the solves, so how they ran cannot move the peak.
     for (name, hot_ids, sizes, by_leader), leader_order in zip(pending, orders):
         fd = dcfg[name]
         fmap = index.function_map(name)
@@ -520,17 +511,10 @@ def analyze(
     perf: PerfData,
     options: WPAOptions = WPAOptions(),
     meter: Optional[MemoryMeter] = None,
-    executor: Optional[object] = None,
     tracer: Optional[object] = None,
     solve_cache: Optional[object] = None,
 ) -> WPAResult:
     """Run profile conversion and whole-program analysis.
-
-    ``executor`` (the :meth:`repro.runtime.ParallelExecutor.map`
-    contract) fans the per-function Ext-TSP solves across worker
-    processes; it never changes the result, only how fast the analysis
-    runs.  Inter-procedural layout is one whole-program solve and
-    always runs in-process.
 
     ``solve_cache`` (the :class:`repro.runtime.FunctionSolveCache`
     contract) memoizes per-function Ext-TSP solves by content
@@ -576,7 +560,7 @@ def analyze(
         else:
             clusters, symbol_order, hot_funcs = _intra_layout(
                 index, dcfg, call_edges, options, own, min_count=min_count,
-                executor=executor, solve_cache=solve_cache,
+                solve_cache=solve_cache,
             )
         sp.note(hot_functions=len(hot_funcs))
     prefetches: Dict[str, List[Tuple[int, str]]] = {}

@@ -130,9 +130,6 @@ class Executable:
     def has_block_at(self, addr: int) -> bool:
         return addr in self._blocks_by_addr
 
-    def function_entry(self, name: str) -> int:
-        return self.symbols[name].addr
-
     def content_digest(self) -> str:
         """SHA-256 over the binary's observable content.
 
@@ -141,8 +138,7 @@ class Executable:
         model, strippers) read; the execution model is derived from
         these, so it does not hash separately.  Equal digests mean
         interchangeable binaries, which is how the pipeline's
-        parallel-equals-serial and warm-cache-equals-cold invariants
-        are asserted.
+        warm-cache-equals-cold invariant is asserted.
         """
         h = hashlib.sha256()
         h.update(f"{self.name}:{self.entry}:{int(self.hugepages)}".encode())
@@ -240,9 +236,3 @@ class Executable:
         funcs = [s for s in self.symbols.values() if s.stype == SymbolType.FUNC]
         funcs.sort(key=lambda s: s.addr)
         return funcs
-
-    def symbol_at(self, addr: int) -> Optional[SymbolInfo]:
-        for sym in self.symbols.values():
-            if sym.addr == addr and sym.stype == SymbolType.FUNC:
-                return sym
-        return None

@@ -8,7 +8,7 @@ the machinery that proves the reproduction's robustness claims:
 
 * :class:`FaultPlan` -- a seeded schedule of per-action
   failure/timeout/corruption/slowdown events, keyed by action digest so
-  plans are replayable and jobs-count-invariant.  Parse compact specs
+  plans are replayable and schedule-invariant.  Parse compact specs
   (``"fail=0.02,timeout=0.01,seed=7"``), JSON files, or construct
   directly; the CLI's ``--fault-plan`` accepts all three.
 * :class:`FaultClock` -- the simulated-time ledger: bounded retries

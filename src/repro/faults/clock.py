@@ -20,7 +20,7 @@ The split of responsibilities is deliberate:
   phenomenon, not a property of the artifact.
 
 Every quantity is a pure function of (plan, action key), so ledgers are
-identical across ``jobs`` counts and execution orders; the counters the
+identical across execution orders; the counters the
 clock emits (``faults.*`` / ``retry.*``) are safe for the deterministic
 metrics report.
 """

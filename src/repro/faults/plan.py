@@ -15,10 +15,8 @@ contract is that every decision is a pure function of
 * **Replayable** -- the same plan applied to the same build injects the
   same faults, every time, on every machine.
 * **Schedule-independent** -- the draw never consults execution order,
-  wall clock, worker identity or ``jobs``; a batch fanned over 8
-  processes sees exactly the faults the serial run sees, so
-  ``PipelineResult.digest()`` and every non-``pool.*`` counter stay
-  bit-identical with a plan on or off (only simulated durations move).
+  wall clock or worker identity, so a batch sees the same faults
+  however the simulated pool schedules it.
 * **Nested** -- the uniform draw for an attempt is fixed by its key, so
   raising ``fail_rate`` can only convert clean attempts into failures,
   never the reverse.  This is what makes simulated makespan *monotone*

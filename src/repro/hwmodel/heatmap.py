@@ -25,10 +25,6 @@ class AccessHeatmap:
     addr_bucket_bytes: int
     time_buckets: int
 
-    @property
-    def addr_buckets(self) -> int:
-        return self.counts.shape[1]
-
     def occupied_addr_range(self) -> int:
         """Bytes spanned by buckets that were ever accessed (footprint)."""
         touched = np.nonzero(self.counts.sum(axis=0))[0]

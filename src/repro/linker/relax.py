@@ -46,10 +46,6 @@ def assign_addresses(text_sections: List[WorkSection], base: int) -> int:
     return cursor
 
 
-def _disp_field_offset(opcode: Opcode) -> int:
-    return 2 if opcode == Opcode.JCC_LONG else 1
-
-
 def _delete_jump(ws: WorkSection, fixup) -> None:
     size = instruction_size(fixup.opcode)
     block = ws.block_containing(fixup.offset)

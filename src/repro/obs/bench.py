@@ -287,7 +287,6 @@ class BenchContext:
     suite: "SuiteSpec"
     seed: int
     repetitions: int
-    jobs: Optional[int] = None
     perturb: Optional[str] = None
 
     def time_repeated(self, fn: Callable[[], Any]) -> Tuple[float, float, Tuple[float, ...]]:
@@ -365,16 +364,12 @@ SUITES: Dict[str, SuiteSpec] = {
 def _pipeline_config(ctx: BenchContext, **overrides):
     from repro.core.pipeline import PipelineConfig
 
-    # jobs only changes how fast the simulation itself runs (and the
-    # quarantined pool.* counters, which no scenario exports), so the
-    # quality scenarios may honor ctx.jobs without losing determinism.
     base = dict(
         seed=ctx.seed,
         lbr_branches=ctx.suite.lbr_branches,
         pgo_steps=ctx.suite.pgo_steps,
         workers=72,
         enforce_ram=False,
-        jobs=ctx.jobs or 1,
     )
     base.update(overrides)
     return PipelineConfig(**base)
@@ -610,61 +605,6 @@ def _cold_warm_scenario() -> Scenario:
         name="runtime:cold-warm",
         title="cold pipeline vs persistent-cache warm replay",
         paper_ref="Fig 9 / Table 5 (cache replay)",
-        run=run,
-    )
-
-
-def _jobs_scenario() -> Scenario:
-    """Wall-clock scenario: jobs=1 vs jobs=2 real parallelism.
-
-    Speedup is informational (CI runners have few, busy cores); what is
-    gated is the contract that parallelism never changes artifacts or
-    non-``pool.*`` counters.
-    """
-
-    def run(ctx: BenchContext) -> List[Metric]:
-        from repro.core.pipeline import PropellerPipeline
-
-        preset_name, scale = ctx.suite.timing_preset
-        program = _generate(ctx, preset_name, scale)
-        metrics: List[Metric] = []
-
-        outputs: Dict[int, Tuple[str, Dict[str, Dict[str, float]]]] = {}
-
-        def run_with(jobs: int):
-            result = PropellerPipeline(
-                program, _pipeline_config(ctx, jobs=jobs)).run()
-            snapshot = result.counters.snapshot()
-            non_pool = {kind: {k: v for k, v in values.items()
-                               if not k.startswith("pool.")}
-                        for kind, values in snapshot.items()}
-            outputs[jobs] = (result.digest(), non_pool)
-
-        serial_med, serial_noise, serial_reps = ctx.time_repeated(
-            lambda: run_with(1))
-        metrics.append(Metric("jobs1.real_seconds", serial_med, "s",
-                              gate="info", direction="lower",
-                              noise=serial_noise, reps=serial_reps))
-        parallel_med, parallel_noise, parallel_reps = ctx.time_repeated(
-            lambda: run_with(2))
-        metrics.append(Metric("jobs2.real_seconds", parallel_med, "s",
-                              gate="info", direction="lower",
-                              noise=parallel_noise, reps=parallel_reps))
-        metrics.append(Metric("jobs2.speedup", serial_med / parallel_med, "x",
-                              gate="info", direction="higher",
-                              noise=max(serial_noise, parallel_noise)))
-        metrics.append(Metric("jobs2.digest_match",
-                              int(outputs[1][0] == outputs[2][0]),
-                              gate="exact", direction="higher"))
-        metrics.append(Metric("jobs2.counters_match",
-                              int(outputs[1][1] == outputs[2][1]),
-                              gate="exact", direction="higher"))
-        return metrics
-
-    return Scenario(
-        name="runtime:jobs",
-        title="jobs=1 vs jobs=2 real parallelism",
-        paper_ref="PR 2 determinism contract (Fig 9 machinery)",
         run=run,
     )
 
@@ -937,7 +877,6 @@ def suite_scenarios(suite: SuiteSpec) -> List[Scenario]:
     scenarios = [_pipeline_scenario(name, scale) for name, scale in suite.presets]
     scenarios.append(_drift_sweep_scenario(*suite.drift_preset, suite.drift_levels))
     scenarios.append(_cold_warm_scenario())
-    scenarios.append(_jobs_scenario())
     scenarios.append(_faults_scenario())
     scenarios.append(_incr_scenario())
     scenarios.append(_explain_scenario())
@@ -948,7 +887,6 @@ def run_suite(
     suite: str = "smoke",
     repetitions: int = DEFAULT_REPETITIONS,
     seed: int = 3,
-    jobs: Optional[int] = None,
     perturb: Optional[str] = None,
     only: Optional[Sequence[str]] = None,
     progress: Optional[Callable[[str], None]] = None,
@@ -971,7 +909,7 @@ def run_suite(
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
     ctx = BenchContext(suite=spec, seed=seed, repetitions=repetitions,
-                       jobs=jobs, perturb=perturb)
+                       perturb=perturb)
     scenarios = suite_scenarios(spec)
     if only:
         wanted = set(only)

@@ -2,14 +2,11 @@
 
 Everything under :mod:`repro.buildsys` models the *paper's* build
 environment in simulated seconds; this package is about the seconds the
-reproduction itself burns.  It provides the two mechanisms that make
-repeated pipeline runs cheap on real hardware, mirroring the properties
-the build simulator models:
+reproduction itself burns:
 
-* :class:`ParallelExecutor` -- a ``concurrent.futures`` process pool
-  that fans independent pure tasks (per-module codegen, per-function
-  Ext-TSP layout) across cores while preserving input order, so
-  parallel and serial runs are bit-identical.
+* :class:`ParallelExecutor` -- the one serial, order-preserving runner
+  for batches of independent pure tasks (per-module codegen,
+  per-function Ext-TSP layout); see :mod:`repro.runtime.executor`.
 * :class:`PersistentActionStore` -- a content-addressed on-disk store
   of completed action outputs (digest-keyed pickles), the real
   counterpart of the simulator's remote action cache: a second pipeline
@@ -26,13 +23,12 @@ from repro.runtime.cache import (
     PersistentActionStore,
     resolve_cache_dir,
 )
-from repro.runtime.executor import ParallelExecutor, default_jobs
+from repro.runtime.executor import ParallelExecutor
 
 __all__ = [
     "CACHE_DIR_ENV",
     "FunctionSolveCache",
     "ParallelExecutor",
     "PersistentActionStore",
-    "default_jobs",
     "resolve_cache_dir",
 ]

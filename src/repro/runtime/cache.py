@@ -62,14 +62,28 @@ def resolve_cache_dir(explicit: "Optional[str | os.PathLike]" = None) -> Optiona
     return Path(env) if env else None
 
 
+class EnvelopeError(ValueError):
+    """A file that is not a valid envelope.
+
+    ``reason`` says why, and doubles as the store's quarantine tag:
+    ``format`` (no magic: foreign or legacy), ``truncated`` (short
+    header), ``digest`` (payload does not match its header) or
+    ``unpicklable`` (verified, but the pickle does not load).
+    """
+
+    def __init__(self, path: "str | os.PathLike", reason: str):
+        super().__init__(f"{path}: not a valid envelope ({reason})")
+        self.reason = reason
+
+
 def write_envelope(path: "str | os.PathLike", value: Any) -> None:
     """Atomically pickle ``value`` to ``path`` in the self-verifying
-    envelope format (magic + SHA-256 header) the store uses.
+    envelope format (magic + SHA-256 header).
 
-    The standalone form of :meth:`PersistentActionStore.store` for
-    callers that manage their own paths -- the serialized stage-graph
-    artifact sets (:mod:`repro.core.stages`) persist through it so a
-    resumed run gets the same tamper/truncation detection as the cache.
+    :class:`PersistentActionStore` writes its entries through it, and
+    the serialized stage-graph artifact sets (:mod:`repro.core.stages`)
+    persist through it, so a resumed run gets the same
+    tamper/truncation detection as the cache.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -94,23 +108,28 @@ def write_envelope(path: "str | os.PathLike", value: Any) -> None:
 def read_envelope(path: "str | os.PathLike") -> Any:
     """Unpickle an envelope written by :func:`write_envelope`.
 
-    Unlike the store's forgiving :meth:`~PersistentActionStore.load`
-    (where a bad entry is just a cache miss), a bad envelope here is an
-    error: raises ``ValueError`` on format/digest mismatch, ``OSError``
-    when unreadable -- resume-from-artifacts must fail loudly rather
-    than silently recompute against mismatched inputs.
+    Raises :class:`EnvelopeError` (a ``ValueError``) when the file is
+    not a valid envelope and ``OSError`` when it is unreadable.  The
+    store's :meth:`~PersistentActionStore.load` turns either into a
+    miss; resume-from-artifacts fails loudly rather than silently
+    recompute against mismatched inputs.
     """
     data = Path(path).read_bytes()
     if not data.startswith(_MAGIC):
-        raise ValueError(f"{path}: not a repro envelope")
+        raise EnvelopeError(path, "format")
     header_end = len(_MAGIC) + _DIGEST_HEX_LEN
     if len(data) < header_end + 1 or data[header_end:header_end + 1] != b"\n":
-        raise ValueError(f"{path}: truncated envelope header")
+        raise EnvelopeError(path, "truncated")
     expected = data[len(_MAGIC):header_end]
     payload = data[header_end + 1:]
     if hashlib.sha256(payload).hexdigest().encode("ascii") != expected:
-        raise ValueError(f"{path}: envelope digest mismatch")
-    return pickle.loads(payload)
+        raise EnvelopeError(path, "digest")
+    try:
+        return pickle.loads(payload)
+    except Exception as exc:
+        # The digest verified but the pickle does not load: format
+        # drift between versions.
+        raise EnvelopeError(path, "unpicklable") from exc
 
 
 class FunctionSolveCache:
@@ -131,8 +150,7 @@ class FunctionSolveCache:
     on-disk :class:`PersistentActionStore` beside the action store, so
     a later release's run replays the previous release's solves.
     Hit/miss accounting lands on the optional ``counters`` sink as
-    ``incr.solve_hits`` / ``incr.solve_misses`` -- always from the
-    submitting process, so the numbers are jobs-invariant.
+    ``incr.solve_hits`` / ``incr.solve_misses``.
     """
 
     def __init__(self, root: "Optional[str | os.PathLike]" = None,
@@ -223,27 +241,6 @@ class PersistentActionStore:
         if self.counters is not None:
             self.counters.incr("store.quarantined")
 
-    def _verified_payload(self, path: Path, data: bytes) -> Optional[bytes]:
-        """The pickled payload iff the envelope's digest verifies.
-
-        Anything else -- truncation, a foreign/legacy format, a payload
-        whose digest does not match its header -- is poisoning as far
-        as correctness is concerned, and is quarantined.
-        """
-        if not data.startswith(_MAGIC):
-            self._quarantine(path, "format")
-            return None
-        header_end = len(_MAGIC) + _DIGEST_HEX_LEN
-        if len(data) < header_end + 1 or data[header_end:header_end + 1] != b"\n":
-            self._quarantine(path, "truncated")
-            return None
-        expected = data[len(_MAGIC):header_end]
-        payload = data[header_end + 1:]
-        if hashlib.sha256(payload).hexdigest().encode("ascii") != expected:
-            self._quarantine(path, "digest")
-            return None
-        return payload
-
     def load(self, key: str) -> Optional[Any]:
         """The stored entry, or None when absent or not verifiable.
 
@@ -251,24 +248,19 @@ class PersistentActionStore:
         from a miss to the caller: the action simply re-executes and
         overwrites it.  Unlike a plain miss, though, the bad file is
         quarantined and counted, because a poisoned shared cache is an
-        operational event someone should be able to see.
+        operational event someone should be able to see.  Truncation,
+        a foreign or legacy format, a digest mismatch and a payload
+        that does not unpickle are all poisoning as far as correctness
+        is concerned; the quarantined file's suffix names which.
         """
         path = self._path(key)
         try:
-            data = path.read_bytes()
+            entry = read_envelope(path)
         except OSError:
             return None
-        payload = self._verified_payload(path, data)
-        if payload is None:
-            return None
-        try:
-            entry = pickle.loads(payload)
-        except Exception:
-            # The digest verified but the pickle does not parse: format
-            # drift between versions.  Quarantine it like any other
-            # unreplayable entry.
-            self._quarantine(path, "unpicklable")
-            if self.counters is not None:
+        except EnvelopeError as err:
+            self._quarantine(path, err.reason)
+            if err.reason == "unpicklable" and self.counters is not None:
                 self.counters.incr("store.load_errors")
             return None
         self.loads += 1
@@ -277,24 +269,7 @@ class PersistentActionStore:
         return entry
 
     def store(self, key: str, entry: Any) -> None:
-        path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        payload = pickle.dumps(entry, protocol=_PICKLE_PROTOCOL)
-        digest = hashlib.sha256(payload).hexdigest().encode("ascii")
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-", suffix=".pkl")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(_MAGIC)
-                handle.write(digest)
-                handle.write(b"\n")
-                handle.write(payload)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        write_envelope(self._path(key), entry)
         self.stores += 1
         if self.counters is not None:
             self.counters.incr("store.stores")

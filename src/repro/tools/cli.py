@@ -59,7 +59,6 @@ PIPELINE_FLAG_FIELDS = {
     "lbr_period": "lbr_period",
     "pgo_steps": "pgo_steps",
     "workers": "workers",
-    "jobs": "jobs",
     "cache_dir": "cache_dir",
     "enforce_ram": "enforce_ram",
     "stale_matching": "stale_matching",
@@ -79,9 +78,6 @@ def _add_pipeline_args(parser: argparse.ArgumentParser) -> None:
                         help="instrumented-PGO training run length (IR steps)")
     parser.add_argument("--workers", type=int, default=_DEFAULTS.workers,
                         help="simulated remote build pool size")
-    parser.add_argument("--jobs", type=int, default=_DEFAULTS.jobs,
-                        help="real worker processes for codegen/layout "
-                             "(default: min(--workers, CPU count))")
     parser.add_argument("--cache-dir", default=_DEFAULTS.cache_dir,
                         help="persistent action-cache directory; falls back to "
                              "$REPRO_CACHE_DIR, else in-memory only")
@@ -487,7 +483,6 @@ def cmd_bench(args) -> int:
         suite=args.suite,
         repetitions=args.repetitions,
         seed=args.seed,
-        jobs=args.jobs,
         perturb=args.perturb,
         only=args.scenario or None,
         progress=lambda msg: blog.info("%s", msg),
@@ -663,8 +658,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--repetitions", type=int, default=DEFAULT_REPETITIONS,
                    help="timing repetitions per scenario (median + MAD)")
     p.add_argument("--seed", type=int, default=3)
-    p.add_argument("--jobs", type=int, default=None,
-                   help="worker processes for the jobs scenarios")
     p.add_argument("--out", metavar="FILE", default=None,
                    help="report path (default: next BENCH_<n>.json in cwd)")
     p.add_argument("--markdown", metavar="FILE", default=None,

@@ -42,7 +42,7 @@ BLOCKS = 60_000
 @pytest.fixture(scope="module")
 def explain_config():
     return PipelineConfig(lbr_branches=40_000, pgo_steps=20_000,
-                          workers=72, enforce_ram=False, jobs=1, trace=True)
+                          workers=72, enforce_ram=False, trace=True)
 
 
 @pytest.fixture(scope="module")

@@ -298,7 +298,7 @@ def nano_program():
 def _config(**kw):
     return PipelineConfig(seed=7, lbr_branches=24_000, lbr_period=31,
                           pgo_steps=10_000, workers=72, enforce_ram=False,
-                          jobs=1, **kw)
+                          **kw)
 
 
 class TestPipelineDegradation:

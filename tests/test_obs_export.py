@@ -22,7 +22,7 @@ from repro.obs.export import REAL_PID, SIM_PID
 def traced(tiny_program):
     pipe = PropellerPipeline(tiny_program, PipelineConfig(
         lbr_branches=40_000, pgo_steps=20_000, workers=72,
-        enforce_ram=False, jobs=1, trace=True))
+        enforce_ram=False, trace=True))
     return pipe, pipe.run()
 
 

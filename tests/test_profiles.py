@@ -444,22 +444,6 @@ class TestPipelineWiring:
         assert (off.metadata.executable.content_digest()
                 == loose.metadata.executable.content_digest())
 
-    def test_deterministic_across_jobs(self, tiny_program, configs):
-        """jobs=1 and jobs=2 produce the same recovered profile and the
-        same optimized binary (matching is pre-fanout, layout is pure)."""
-        from repro.core.pipeline import PropellerPipeline
-        _, loose_cfg = configs
-        results = [
-            PropellerPipeline(
-                tiny_program, dataclasses.replace(loose_cfg, jobs=jobs)).run()
-            for jobs in (1, 2)
-        ]
-        a, b = results
-        assert a.recovered_profile.digest() == b.recovered_profile.digest()
-        assert a.match_stats == b.match_stats
-        assert (a.optimized.executable.content_digest()
-                == b.optimized.executable.content_digest())
-
     def test_invalid_mode_rejected(self, tiny_program):
         from repro.core.pipeline import PipelineConfig, PropellerPipeline
         config = PipelineConfig(stale_matching="fuzzy")

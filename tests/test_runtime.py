@@ -1,13 +1,13 @@
-"""Tests for the execution layer: process pool + persistent action cache.
+"""Tests for the execution layer: serial executor + persistent action cache.
 
-The invariant under test throughout is the determinism contract:
-``jobs`` and a warm persistent cache may change how fast a result is
-produced, never what is produced.
+The invariant under test throughout is the determinism contract: a
+warm persistent cache may change how fast a result is produced, never
+what is produced.
 """
 
 from __future__ import annotations
 
-import os
+import multiprocessing
 import pickle
 
 import pytest
@@ -19,9 +19,9 @@ from repro.runtime import (
     CACHE_DIR_ENV,
     ParallelExecutor,
     PersistentActionStore,
-    default_jobs,
     resolve_cache_dir,
 )
+from repro.runtime.executor import shared_executor
 
 
 def _square(x):
@@ -33,39 +33,23 @@ def _compute_pair(a, b):
     return a + b, float(a), b
 
 
-class TestDefaultJobs:
-    def test_caps_at_cpu_count(self):
-        assert default_jobs(10_000) == (os.cpu_count() or 1)
-
-    def test_one_means_serial(self):
-        assert default_jobs(1) == 1
-
-    def test_never_below_one(self):
-        assert default_jobs(0) == 1
-
-
 class TestParallelExecutor:
-    def test_rejects_bad_jobs(self):
-        with pytest.raises(ValueError):
-            ParallelExecutor(0)
-
     def test_serial_runs_inline(self):
-        ex = ParallelExecutor(1)
-        assert not ex.parallel
-        assert ex.map(_square, [(i,) for i in range(5)]) == [0, 1, 4, 9, 16]
-        assert ex._pool is None  # no pool was ever created
+        ex = shared_executor()
+        assert isinstance(ex, ParallelExecutor) and shared_executor(8) is ex
+        assert ex.map(_square, [(i,) for i in range(20)]) == [i * i for i in range(20)]
+        calls = []
 
-    def test_parallel_preserves_order(self):
-        with ParallelExecutor(2) as ex:
-            assert ex.map(_square, [(i,) for i in range(20)]) == [
-                i * i for i in range(20)
-            ]
+        def task(x):
+            calls.append(x)
+            if x == 2:
+                raise KeyError("task failed")
+            return x
 
-    def test_tiny_batch_stays_inline(self):
-        ex = ParallelExecutor(2)
-        assert ex.map(_square, [(3,)]) == [9]
-        assert ex._pool is None
-        ex.close()
+        # A task's exception propagates unchanged and stops the batch.
+        with pytest.raises(KeyError, match="task failed"):
+            ex.map(task, [(i,) for i in range(5)])
+        assert calls == [0, 1, 2]
 
 
 class TestPersistentStore:
@@ -128,21 +112,11 @@ class TestRunBatch:
     def _items(self, n):
         return [([f"k{i}"], _compute_pair, (i, i + 1)) for i in range(n)]
 
-    def test_serial_and_parallel_agree(self):
-        serial = BuildSystem(workers=4, enforce_ram=False)
-        parallel = BuildSystem(workers=4, enforce_ram=False)
-        with ParallelExecutor(2) as ex:
-            got_p = parallel.run_batch("t", self._items(8), executor=ex)
-        got_s = serial.run_batch("t", self._items(8))
-        assert [r.value for r in got_p] == [r.value for r in got_s] == [
-            2 * i + 1 for i in range(8)
-        ]
-        assert [r.key for r in got_p] == [r.key for r in got_s]
-        assert not any(r.cache_hit for r in got_s)
-
     def test_second_batch_hits(self):
         bs = BuildSystem(workers=4, enforce_ram=False)
-        bs.run_batch("t", self._items(4))
+        first = bs.run_batch("t", self._items(4))
+        assert [r.value for r in first] == [2 * i + 1 for i in range(4)]
+        assert not any(r.cache_hit for r in first)
         again = bs.run_batch("t", self._items(4))
         assert all(r.cache_hit for r in again)
 
@@ -169,13 +143,12 @@ class TestPipelineDeterminism:
             workers=72, enforce_ram=False, **kw,
         )
 
-    def test_parallel_matches_serial_digest(self, micro_program):
-        serial = PropellerPipeline(micro_program, self._config(jobs=1)).run()
-        parallel = PropellerPipeline(micro_program, self._config(jobs=2)).run()
-        assert serial.digest() == parallel.digest()
+    def test_run_starts_no_processes(self, micro_program):
+        PropellerPipeline(micro_program, self._config()).run()
+        assert multiprocessing.active_children() == []
 
     def test_warm_cache_same_digest_less_simulated_time(self, micro_program, tmp_path):
-        cfg = self._config(jobs=1, cache_dir=str(tmp_path))
+        cfg = self._config(cache_dir=str(tmp_path))
         cold = PropellerPipeline(micro_program, cfg).run()
         warm = PropellerPipeline(micro_program, cfg).run()
         assert cold.digest() == warm.digest()
@@ -186,7 +159,7 @@ class TestPipelineDeterminism:
 
     def test_cache_dir_env_var(self, micro_program, tmp_path, monkeypatch):
         monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path))
-        pipe = PropellerPipeline(micro_program, self._config(jobs=1))
+        pipe = PropellerPipeline(micro_program, self._config())
         store = pipe.buildsys.cache.persistent_store
         assert store is not None and store.root == tmp_path
 
@@ -285,75 +258,3 @@ class TestStoreQuarantine:
         store._path(self.KEY).write_bytes(b"garbage")
         store.load(self.KEY)
         assert counters.count("store.quarantined") == 1
-
-
-# ----------------------------------------------------------------------
-# Executor bounded retry (real-failure resilience, distinct from the
-# simulated fault plans in repro.faults).
-
-def _fail_outside_pid(parent_pid, value):
-    """Raises in any process other than ``parent_pid`` (i.e. in workers)."""
-    if os.getpid() != parent_pid:
-        raise RuntimeError("simulated worker crash")
-    return value * 10
-
-
-class TestExecutorRetry:
-    def test_rejects_negative_budget(self):
-        with pytest.raises(ValueError):
-            ParallelExecutor(1, max_retries=-1)
-
-    def test_inline_retry_recovers_transient_failure(self):
-        from repro.obs import Counters
-
-        calls = {"n": 0}
-
-        def flaky(x):
-            calls["n"] += 1
-            if calls["n"] < 3:
-                raise RuntimeError("transient")
-            return x + 1
-
-        ex = ParallelExecutor(1, max_retries=2)
-        ex.counters = Counters()
-        assert ex.map(flaky, [(41,)]) == [42]
-        assert calls["n"] == 3
-        assert ex.counters.count("pool.retries") == 2
-
-    def test_budget_exhaustion_propagates_last_error(self):
-        def always_fails(x):
-            raise KeyError("deterministic bug")
-
-        ex = ParallelExecutor(1, max_retries=1)
-        with pytest.raises(KeyError):
-            ex.map(always_fails, [(1,)])
-
-    def test_zero_budget_fails_immediately(self):
-        calls = {"n": 0}
-
-        def flaky(x):
-            calls["n"] += 1
-            raise RuntimeError("boom")
-
-        ex = ParallelExecutor(1, max_retries=0)
-        with pytest.raises(RuntimeError):
-            ex.map(flaky, [(1,)])
-        assert calls["n"] == 1
-
-    def test_broken_pool_batch_falls_back_inline(self):
-        from repro.obs import Counters
-
-        ex = ParallelExecutor(2, max_retries=2)
-        ex.counters = Counters()
-        items = [(os.getpid(), i) for i in range(6)]
-        # Every task crashes in a worker process but succeeds inline.
-        assert ex.map(_fail_outside_pid, items) == [i * 10 for i in range(6)]
-        assert ex.counters.count("pool.batch_fallbacks") == 1
-        ex.close()
-
-    def test_pool_failure_without_budget_propagates(self):
-        ex = ParallelExecutor(2, max_retries=0)
-        items = [(os.getpid(), i) for i in range(6)]
-        with pytest.raises(RuntimeError):
-            ex.map(_fail_outside_pid, items)
-        ex.close()
