@@ -17,14 +17,13 @@ The bench compares three configurations on the clang workload:
 from conftest import HW_PARAMS, PERF_BLOCKS, build_world
 from repro.analysis import Table, format_bytes
 from repro.core.wpa import WPAOptions, analyze
-from repro.hwmodel import simulate_frontend
-from repro.profiles import generate_trace
+from repro.hwmodel import measure_frontend
 
 
 def _relink_with(world, wpa_result):
     outcome = world.pipeline.relink(world.result.ir_profile, wpa_result)
-    trace = generate_trace(outcome.executable, max_blocks=PERF_BLOCKS, seed=77)
-    return outcome, simulate_frontend(outcome.executable, trace, HW_PARAMS)
+    return outcome, measure_frontend(outcome.executable, max_blocks=PERF_BLOCKS,
+                                     params=HW_PARAMS)
 
 
 def _limit_split(wpa_result, program, min_cold_fraction=0.65, min_blocks=16):

@@ -12,8 +12,7 @@ import time
 from conftest import HW_PARAMS, PERF_BLOCKS, measure
 from repro.analysis import Table
 from repro.core.wpa import WPAOptions, analyze
-from repro.hwmodel import simulate_frontend
-from repro.profiles import generate_trace
+from repro.hwmodel import measure_frontend
 
 
 def test_ablation_interproc_layout(benchmark, world_factory):
@@ -35,8 +34,8 @@ def test_ablation_interproc_layout(benchmark, world_factory):
     base = world.counters("base")
     for label, wpa in (("intra-function", intra), ("inter-procedural", inter)):
         outcome = world.pipeline.relink(world.result.ir_profile, wpa)
-        trace = generate_trace(outcome.executable, max_blocks=PERF_BLOCKS, seed=77)
-        counters = simulate_frontend(outcome.executable, trace, HW_PARAMS)
+        counters = measure_frontend(outcome.executable, max_blocks=PERF_BLOCKS,
+                                    params=HW_PARAMS)
         rows.append((label, wpa, counters))
 
     multi_cluster = sum(1 for c in inter.clusters.values() if len(c) > 1)

@@ -10,8 +10,7 @@ without prefetch directives on the clang workload.
 from conftest import HW_PARAMS, PERF_BLOCKS, build_world
 from repro.analysis import Table
 from repro.core.wpa import WPAOptions, analyze
-from repro.hwmodel import simulate_frontend
-from repro.profiles import generate_trace
+from repro.hwmodel import measure_frontend
 
 
 def test_ablation_prefetch(benchmark, world_factory):
@@ -25,8 +24,9 @@ def test_ablation_prefetch(benchmark, world_factory):
     )
     rows = [("layout only", world.counters("prop"), world.result.wpa_result)]
     outcome = world.pipeline.relink(world.result.ir_profile, wpa_pf)
-    trace = generate_trace(outcome.executable, max_blocks=PERF_BLOCKS, seed=77)
-    rows.append(("layout + prefetch", simulate_frontend(outcome.executable, trace, HW_PARAMS),
+    rows.append(("layout + prefetch",
+                 measure_frontend(outcome.executable, max_blocks=PERF_BLOCKS,
+                                  params=HW_PARAMS),
                  wpa_pf))
 
     table = Table(

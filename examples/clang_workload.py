@@ -1,17 +1,17 @@
 #!/usr/bin/env python3
 """A deeper walk through the four phases on a clang-shaped workload.
 
-Shows each phase's artifacts explicitly instead of using the one-call
-API: what the build system caches, what the metadata binary carries,
-what WPA computes, and what the relink reuses -- then renders the
-Figure-7-style instruction heat maps for both binaries.
+Runs the pipeline's stage graph once and reads each phase's artifacts
+from the execution instead of using the one-call API: what the build
+system caches, what the metadata binary carries, what WPA computes,
+and what the relink reuses -- then renders the Figure-7-style
+instruction heat maps for both binaries.
 
 Run:  python examples/clang_workload.py
 """
 
 from repro.analysis import format_bytes
 from repro.core.pipeline import PipelineConfig, PropellerPipeline
-from repro.elf import SectionKind
 from repro.hwmodel import record_heatmap, render_heatmap
 from repro.profiles import generate_trace
 from repro.synth import PRESETS, generate_workload
@@ -21,34 +21,26 @@ def main() -> None:
     program = generate_workload(PRESETS["clang"], scale=0.008, seed=7)
     config = PipelineConfig(lbr_branches=400_000, pgo_steps=150_000,
                             workers=72, enforce_ram=False)
-    pipe = PropellerPipeline(program, config)
+    execution = PropellerPipeline(program, config).run_stages()
+    print("stages: " + " -> ".join(execution.artifacts.records))
 
     # Phase 1+2: PGO baseline, then the same build with BB address maps.
-    profile = pipe.collect_pgo_profile()
-    baseline = pipe.build(
-        "pgo", pipe.baseline_options(profile),
-        pipe.link_options("base.out", keep_bb_addr_map=False),
-    )
-    metadata = pipe.build_metadata(profile)
+    baseline = execution.value("baseline")
+    metadata = execution.value("metadata")
     map_bytes = metadata.executable.section_sizes()["bb_addr_map"]
     print(f"phase 1+2: {len(baseline.objects)} objects compiled; "
           f"metadata binary carries {format_bytes(map_bytes)} of BB address maps "
           f"(+{100 * (metadata.executable.total_size / baseline.executable.total_size - 1):.1f}%)")
 
-    # Phase 3: profile the metadata binary, run WPA.
-    from repro.core.wpa import analyze
-    from repro.profiles import sample_lbr
-
-    trace = generate_trace(metadata.executable, max_branches=config.lbr_branches,
-                           seed=config.seed + 1, record_blocks=False)
-    perf = sample_lbr(trace, period=config.lbr_period)
-    wpa = analyze(metadata.executable, perf)
+    # Phase 3: the LBR profile of the metadata binary, and its WPA.
+    perf = execution.value("perf")
+    wpa = execution.value("wpa_result")
     print(f"phase 3: {perf.num_samples} LBR samples ({format_bytes(perf.size_bytes)}), "
           f"{len(wpa.hot_functions)} hot functions, "
           f"WPA peak memory {format_bytes(wpa.stats.peak_memory_bytes)}")
 
     # Phase 4: re-codegen hot modules, replay cold objects, relink.
-    optimized = pipe.relink(profile, wpa)
+    optimized = execution.value("optimized")
     print(f"phase 4: {optimized.hot_modules} hot modules re-compiled, "
           f"{optimized.cold_cache_hits} cold objects from cache; "
           f"relink {optimized.link_seconds:.2f}s vs baseline link "

@@ -10,9 +10,7 @@ Run:  python examples/quickstart.py
 """
 
 from repro import PRESETS, PipelineConfig, generate_workload, optimize
-from repro.hwmodel import simulate_frontend
-from repro.hwmodel.frontend import DEFAULT_PARAMS
-from repro.profiles import generate_trace
+from repro.hwmodel import measure_frontend
 
 
 def main() -> None:
@@ -37,13 +35,13 @@ def main() -> None:
     for line in result.wpa_result.symbol_order[:6]:
         print("   ", line)
 
-    # 4. Measure both binaries on the same fixed amount of work.
-    params = DEFAULT_PARAMS.scaled(16)  # structures scaled like the workload
+    # 4. Measure both binaries on the same fixed amount of work (the
+    #    executed-block sequence does not depend on layout), with the
+    #    model's structures scaled like the workload (the default).
     rows = []
     for label, exe in (("baseline", result.baseline.executable),
                        ("propeller", result.optimized.executable)):
-        trace = generate_trace(exe, max_blocks=300_000, seed=42)
-        counters = simulate_frontend(exe, trace, params)
+        counters = measure_frontend(exe, max_blocks=300_000, seed=42)
         rows.append((label, counters))
         print(f"\n{label}: {counters.cycles / 1e6:.2f}M cycles, "
               f"{counters.l1i_miss} L1i misses, {counters.itlb_miss} iTLB misses, "

@@ -319,25 +319,6 @@ class PipelineResult:
         h.update(self.ir_profile.digest().encode())
         return h.hexdigest()
 
-    def frontend_counters(
-        self,
-        max_blocks: int = 200_000,
-        seed: int = 77,
-        params=None,
-    ) -> Dict[str, Dict[str, float]]:
-        """Hardware-counter scorecards for the baseline and optimized binaries.
-
-        Replays one layout-invariant trace per binary through the scaled
-        frontend model and returns ``{"baseline": {...}, "optimized":
-        {...}}`` of Table 4 counters plus cycles/instructions/ipc (see
-        :meth:`FrontendCounters.as_dict`).  Fully deterministic in
-        (binaries, ``max_blocks``, ``seed``, ``params``) -- which is
-        what lets regression gates compare the values exactly.
-        """
-        scorecard, _ = self._simulate_frontend(max_blocks, seed, params,
-                                               by_function=False)
-        return scorecard
-
     def frontend_counters_by_function(
         self,
         max_blocks: int = 200_000,
@@ -346,35 +327,34 @@ class PipelineResult:
     ) -> Dict[str, Dict[str, Dict[str, float]]]:
         """Per-function frontend attribution for both binaries.
 
-        Same simulation as :meth:`frontend_counters`, but with the
-        model's per-function accounting enabled: returns ``{"baseline":
-        {fn: {...}}, "optimized": {fn: {...}}}`` where each function's
-        dict carries the subset of counters the explain engine ranks on
-        (``cycles``, ``instructions``, ``l1i_miss``, ``itlb_miss``,
-        ``taken_branches``, ``baclears``, ``dsb_miss``).  Totals are
-        accumulated globally inside the model, so enabling attribution
-        never changes the gated scorecard values.
+        One :func:`~repro.hwmodel.measure_frontend` pass per binary with
+        the model's per-function accounting enabled: returns
+        ``{"baseline": {fn: {...}}, "optimized": {fn: {...}}}`` where
+        each function's dict carries the subset of counters the explain
+        engine ranks on (``cycles``, ``instructions``, ``l1i_miss``,
+        ``itlb_miss``, ``taken_branches``, ``baclears``, ``dsb_miss``).
+        Totals are accumulated globally inside the model, so enabling
+        attribution never changes the gated scorecard values.
         """
-        _, by_function = self._simulate_frontend(max_blocks, seed, params,
-                                                 by_function=True)
+        _, by_function = self._frontend_scorecards(
+            True, max_blocks=max_blocks, seed=seed, params=params)
         return by_function
 
-    def _simulate_frontend(self, max_blocks, seed, params, by_function):
-        """One frontend pass per binary; scorecard + optional attribution."""
-        from repro.hwmodel import simulate_frontend
-        from repro.hwmodel.frontend import SCALED_PARAMS
-        from repro.profiles import generate_trace
+    def _frontend_scorecards(self, by_function: bool, **measure):
+        """One frontend pass per binary; scorecard + optional attribution.
 
-        if params is None:
-            params = SCALED_PARAMS
+        ``measure`` is passed through to
+        :func:`~repro.hwmodel.measure_frontend` (its defaults are the
+        report's protocol).
+        """
+        from repro.hwmodel import measure_frontend
+
         scorecard: Dict[str, Dict[str, float]] = {}
         attribution: Dict[str, Dict[str, Dict[str, float]]] = {}
         for name, outcome in (("baseline", self.baseline),
                               ("optimized", self.optimized)):
-            exe = outcome.executable
-            trace = generate_trace(exe, max_blocks=max_blocks, seed=seed)
-            counters = simulate_frontend(exe, trace, params,
-                                         by_function=by_function)
+            counters = measure_frontend(outcome.executable,
+                                        by_function=by_function, **measure)
             scorecard[name] = counters.as_dict()
             if by_function:
                 attribution[name] = {
@@ -440,8 +420,8 @@ class PipelineResult:
         frontend: Dict[str, Dict[str, float]] = {}
         frontend_by_function: Dict[str, Dict[str, Dict[str, float]]] = {}
         if include_frontend or include_attribution:
-            scorecard, attribution = self._simulate_frontend(
-                200_000, 77, None, by_function=include_attribution)
+            scorecard, attribution = self._frontend_scorecards(
+                include_attribution)
             if include_frontend:
                 frontend = scorecard
             frontend_by_function = attribution
@@ -573,6 +553,22 @@ class PropellerPipeline:
     # ------------------------------------------------------------------
     # Build helpers
 
+    def _local_action(self, span: str, kind: str, key_parts: List[str],
+                      compute) -> Any:
+        """Run one cached action on the submitting machine, in a span.
+
+        Profiling, analysis and the final link run outside the
+        per-action RAM budget (``remote=False``, §3.5).  The ``span``
+        (category ``action``) advances by the action's simulated cost
+        and notes whether the cache replayed it.
+        """
+        with self.tracer.span(span, category="action") as sp:
+            action = self.buildsys.run_action(kind, key_parts, compute,
+                                              remote=False)
+            sp.advance(action.cost_seconds)
+            sp.note(cache_hit=action.cache_hit)
+        return action
+
     def _digest(self, module: ir.Module) -> str:
         digest = self._digests.get(module.name)
         if digest is None:
@@ -656,17 +652,11 @@ class PropellerPipeline:
                 return link_result, seconds, link_result.stats.peak_memory_bytes
 
             # The inputs of the link are exactly the backend outputs (named
-            # by their action keys) and the link options; the final link
-            # runs on the submitting machine (remote=False), outside the
-            # per-action RAM budget (§3.5).
+            # by their action keys) and the link options.
             inputs = hashlib.sha256("\n".join(a.key for a in actions).encode()).hexdigest()
-            with self.tracer.span("link", category="action") as sp:
-                link_action = self.buildsys.run_action(
-                    "link", [inputs, _link_options_signature(link_options)],
-                    _link_compute, remote=False,
-                )
-                sp.advance(link_action.cost_seconds)
-                sp.note(cache_hit=link_action.cache_hit)
+            link_action = self._local_action(
+                "link", "link", [inputs, _link_options_signature(link_options)],
+                _link_compute)
         link_result: LinkResult = link_action.value
         return BuildOutcome(
             tag=tag,
@@ -687,8 +677,7 @@ class PropellerPipeline:
 
         The run is deterministic in (program, steps, seed, drift), so it
         is itself an action: a warm cache replays the profile instead of
-        re-interpreting the program.  Profiling runs on the submitting
-        machine (``remote=False``), outside the per-action RAM budget.
+        re-interpreting the program.
         """
         config = self.config
 
@@ -699,16 +688,11 @@ class PropellerPipeline:
             profile = profile.apply_drift(config.pgo_drift, seed=config.seed)
             return profile, config.pgo_steps * config.profile_seconds_per_branch, 0
 
-        with self.tracer.span("pgo-train", category="action") as sp:
-            action = self.buildsys.run_action(
-                "profile-pgo",
-                [self._program_digest(), str(config.pgo_steps), str(config.seed),
-                 float(config.pgo_drift).hex()],
-                _compute,
-                remote=False,
-            )
-            sp.advance(action.cost_seconds)
-            sp.note(cache_hit=action.cache_hit)
+        action = self._local_action(
+            "pgo-train", "profile-pgo",
+            [self._program_digest(), str(config.pgo_steps), str(config.seed),
+             float(config.pgo_drift).hex()],
+            _compute)
         self._pgo_seconds = action.cost_seconds
         profile: IRProfile = action.value
         # getattr: a persistent-store entry written by an older version
@@ -737,16 +721,11 @@ class PropellerPipeline:
             cost = config.lbr_branches * config.profile_seconds_per_branch
             return perf, cost, perf.size_bytes
 
-        with self.tracer.span("lbr-sample", category="action") as sp:
-            action = self.buildsys.run_action(
-                "profile-lbr",
-                [metadata_exe.content_digest(), str(config.lbr_branches),
-                 str(config.lbr_period), str(config.seed + 1)],
-                _compute,
-                remote=False,
-            )
-            sp.advance(action.cost_seconds)
-            sp.note(cache_hit=action.cache_hit)
+        action = self._local_action(
+            "lbr-sample", "profile-lbr",
+            [metadata_exe.content_digest(), str(config.lbr_branches),
+             str(config.lbr_period), str(config.seed + 1)],
+            _compute)
         perf: PerfData = action.value
         self.counters.gauge("lbr.samples", perf.num_samples)
         self.counters.gauge("lbr.records", perf.num_records)
@@ -772,16 +751,11 @@ class PropellerPipeline:
             cost = wpa_result.stats.cost_units * config.wpa_seconds_per_unit
             return wpa_result, cost, wpa_result.stats.peak_memory_bytes
 
-        with self.tracer.span("wpa-analyze", category="action") as sp:
-            action = self.buildsys.run_action(
-                "wpa",
-                [metadata_exe.content_digest(), perf_key,
-                 _wpa_options_signature(config.wpa)],
-                _compute,
-                remote=False,
-            )
-            sp.advance(action.cost_seconds)
-            sp.note(cache_hit=action.cache_hit)
+        action = self._local_action(
+            "wpa-analyze", "wpa",
+            [metadata_exe.content_digest(), perf_key,
+             _wpa_options_signature(config.wpa)],
+            _compute)
         wpa_result: WPAResult = action.value
         stats = wpa_result.stats
         self.counters.gauge(
@@ -802,7 +776,6 @@ class PropellerPipeline:
         while ``ir_profile`` still describes the pre-inlining CFG --
         deliberately, that is the point.
         """
-        from repro.ir.digest import module_digest  # noqa: F401  (docs pointer)
         from repro.ir.passes import clone_program, inline_hot_calls
         from repro.ir.verify import verify_program
 
@@ -859,48 +832,7 @@ class PropellerPipeline:
         return replace(base, **overrides)
 
     # ------------------------------------------------------------------
-    # Public stage helpers (what the CLI subcommands are wired from)
-
-    def build_metadata(self, profile: IRProfile) -> BuildOutcome:
-        """Phases 1-2: the BB-address-map metadata build (§3.2)."""
-        return self.build(
-            tag="pgo+map",
-            codegen_options=self.metadata_options(profile),
-            link_options=self.link_options("metadata.out", keep_bb_addr_map=True),
-        )
-
-    def collect_perf(self, profile: Optional[IRProfile] = None) -> PerfData:
-        """Phase 3 sampling: train, build the metadata binary, profile it.
-
-        One public call covering what ``repro.tools profile`` does:
-        returns the LBR :class:`PerfData` for this pipeline's program
-        and configuration (``lbr_branches``, ``lbr_period``, seed).  A
-        pre-collected ``profile`` skips the instrumented training run.
-        """
-        if profile is None:
-            profile = self.collect_pgo_profile()
-        metadata = self.build_metadata(profile)
-        perf, _seconds, _key = self._collect_lbr(metadata.executable)
-        return perf
-
-    def analyze(
-        self, perf: PerfData, profile: Optional[IRProfile] = None
-    ) -> WPAResult:
-        """Phase 3 analysis: WPA of ``perf`` against the metadata binary.
-
-        The ``create_llvm_prof`` analogue as a public method: builds (or
-        replays from cache) the metadata binary and converts the profile
-        into layout directives.  ``perf`` may come from
-        :meth:`collect_perf` or from disk; its content digest keys the
-        cached analysis either way.
-        """
-        if profile is None:
-            profile = self.collect_pgo_profile()
-        metadata = self.build_metadata(profile)
-        result, _seconds = self._analyze(
-            metadata.executable, perf, perf_key=perf.digest()
-        )
-        return result
+    # Execution (whole or partial runs all go through the stage graph)
 
     def run_stages(
         self,
@@ -914,8 +846,8 @@ class PropellerPipeline:
         """Execute the pipeline's :class:`~repro.core.stages.StageGraph`.
 
         The engine underneath :meth:`run` and :meth:`reoptimize`,
-        exposed for partial execution: ``stop_after`` runs the graph
-        only through the named stage (``"wpa"``, ...), the returned
+        exposed for partial execution: ``stop_after`` runs the named
+        stage (``"wpa"``, ...) and the stages it consumes from, the returned
         execution's :meth:`~repro.core.stages.StageExecution.save`
         serializes its artifacts, and a later call with ``resume``
         (an :class:`~repro.core.stages.ArtifactSet`) replays them and
@@ -1249,7 +1181,13 @@ def _stage_stale_match(ctx: StageContext, inputs) -> Dict[str, Any]:
 
 
 def _stage_metadata_build(ctx: StageContext, inputs) -> Dict[str, Any]:
-    metadata = ctx.pipeline.build_metadata(inputs["ir_profile"])
+    pipeline = ctx.pipeline
+    metadata = pipeline.build(
+        tag="pgo+map",
+        codegen_options=pipeline.metadata_options(inputs["ir_profile"]),
+        link_options=pipeline.link_options("metadata.out",
+                                           keep_bb_addr_map=True),
+    )
     ctx.time("metadata_build", metadata.wall_seconds)
     return {"metadata": metadata}
 

@@ -36,17 +36,16 @@ each phase:
   through :meth:`StageContext.time` and assembled in canonical stage
   order, so any valid execution order (or a resumed run) reports the
   same mapping.
-* **Stores** -- the persistent action store, the
-  :class:`~repro.runtime.FunctionSolveCache` and the counters sink all
-  ride on the :class:`StageContext`; stages reach them through one
-  object instead of importing pipeline internals.
 
-Partial execution is built in: ``execute(stop_after=...)`` runs a
-prefix of the graph, the produced :class:`ArtifactSet` serializes to a
-directory (self-verifying envelopes, see :mod:`repro.runtime.cache`),
-and a later ``execute(resume=...)`` replays the loaded artifacts and
-runs only the remaining stages -- bit-identical to one full run,
-because artifacts are content, not accounting.
+Partial execution is built in: ``execute(stop_after=S)`` runs stage
+``S`` and the stages it transitively consumes from -- nothing else --
+the produced :class:`ArtifactSet` serializes to a directory
+(self-verifying envelopes, see :mod:`repro.runtime.cache`), and a later
+``execute(resume=...)`` replays the loaded artifacts and runs only the
+remaining stages -- bit-identical to one full run, because artifacts
+are content, not accounting.  A caller may also build the resumed set
+by hand: artifacts it already holds (a perf profile read from disk)
+plus a ``"replayed"`` :class:`StageRecord` for their producer.
 
 ``StageGraph.describe()`` returns the DAG as plain data (and
 :meth:`StageGraph.to_dot` as Graphviz) -- what the ``repro-stages``
@@ -66,6 +65,7 @@ from typing import (
     Mapping,
     Optional,
     Sequence,
+    Set,
     Tuple,
 )
 
@@ -214,13 +214,11 @@ class StageRecord:
 
 
 class StageContext:
-    """What a stage body sees: the pipeline and every cross-cutting service.
+    """What a stage body sees: the pipeline, its tracer and counters.
 
     One object, handed to every ``run``/``fallback`` callable, so the
-    stages depend on a single seam instead of reaching into pipeline
-    internals: the tracer (inner spans), the counters sink, the build
-    system with its persistent action store, and the function-solve
-    cache of the incremental engine.
+    stages depend on a single seam: the pipeline (whose phase methods
+    the bodies call), the tracer (inner spans) and the counters sink.
     """
 
     def __init__(self, pipeline: Any):
@@ -239,14 +237,6 @@ class StageContext:
     def counters(self) -> Any:
         return self.pipeline.counters
 
-    @property
-    def buildsys(self) -> Any:
-        return self.pipeline.buildsys
-
-    @property
-    def solve_cache(self) -> Any:
-        return self.pipeline.solve_cache
-
     def time(self, key: str, sim_seconds: float) -> None:
         """Record one ``phase_seconds`` entry for the current stage."""
         if self._record is None:
@@ -255,15 +245,12 @@ class StageContext:
 
 
 class ExecutionObserver:
-    """Driver observer: per-stage and post-assembly hooks.
+    """Driver observer: a hook on the assembled result.
 
     Cross-cutting accounting that must see the whole run -- the
     incremental engine's dirty-plan/solve-reuse summary -- rides here
     instead of being woven into a second copy of the driver.
     """
-
-    def stage_finished(self, stage: Stage, record: StageRecord) -> None:
-        """Called after each stage resolves (computed/fallback/skipped)."""
 
     def finalize(self, result: Any, execution: "StageExecution") -> None:
         """Called once the executed artifacts are assembled into a result."""
@@ -615,6 +602,17 @@ class StageGraph:
 
     # -- execution -----------------------------------------------------
 
+    def _consumed_by(self, name: str) -> Set[str]:
+        """``name`` plus every stage it transitively consumes from."""
+        wanted = {name}
+        pending = [name]
+        while pending:
+            for dep in self._dependencies(self._by_name[pending.pop()]):
+                if dep.name not in wanted:
+                    wanted.add(dep.name)
+                    pending.append(dep.name)
+        return wanted
+
     def _validate_order(self, order: Sequence[str]) -> List[Stage]:
         """A caller-supplied execution order must be a valid topo order."""
         names = list(order)
@@ -643,8 +641,10 @@ class StageGraph:
         order: Optional[Sequence[str]] = None,
         observers: Sequence[ExecutionObserver] = (),
     ) -> StageExecution:
-        """Run the graph (or the prefix up to ``stop_after``).
+        """Run the graph, or only ``stop_after`` and what it consumes.
 
+        ``stop_after`` names a stage: it runs together with the stages
+        it transitively consumes from, and no other stage runs.
         ``resume`` replays an earlier partial execution: stages whose
         records it carries are not re-run, their artifacts and
         accounting are taken as-is.  ``order``, when given, must be a
@@ -662,6 +662,9 @@ class StageGraph:
 
         plan = (self._validate_order(order) if order is not None
                 else [self._by_name[name] for name in self._order])
+        if stop_after is not None:
+            wanted = self._consumed_by(stop_after)
+            plan = [stage for stage in plan if stage.name in wanted]
 
         artifacts = ArtifactSet()
         artifacts.values.update(seeds)
@@ -733,10 +736,6 @@ class StageGraph:
                     ctx._record = None
                 self._bind_outputs(stage, outputs, artifacts)
                 artifacts.records[stage.name] = record
-                for observer in execution.observers:
-                    observer.stage_finished(stage, record)
-                if stage.name == stop_after:
-                    break
         except BaseException:
             close_phase()
             raise

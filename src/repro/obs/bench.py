@@ -401,9 +401,7 @@ def _pipeline_scenario(preset_name: str, scale: float) -> Scenario:
 
     def run(ctx: BenchContext) -> List[Metric]:
         from repro.core.pipeline import PropellerPipeline
-        from repro.hwmodel import TABLE4_LABELS, simulate_frontend
-        from repro.hwmodel.frontend import SCALED_PARAMS
-        from repro.profiles import generate_trace
+        from repro.hwmodel import TABLE4_LABELS, measure_frontend
 
         program = _generate(ctx, preset_name, scale)
         pipe = PropellerPipeline(program, _pipeline_config(ctx))
@@ -439,9 +437,8 @@ def _pipeline_scenario(preset_name: str, scale: float) -> Scenario:
         counters = {}
         for which, outcome in (("baseline", result.baseline),
                                ("optimized", optimized)):
-            exe = outcome.executable
-            trace = generate_trace(exe, max_blocks=ctx.suite.trace_blocks, seed=77)
-            counters[which] = simulate_frontend(exe, trace, SCALED_PARAMS)
+            counters[which] = measure_frontend(
+                outcome.executable, max_blocks=ctx.suite.trace_blocks)
             # Baseline counters are a fingerprint of the input side;
             # optimized counters are the quality under protection, so
             # they carry a direction (lower is better).
@@ -484,9 +481,7 @@ def _drift_sweep_scenario(preset_name: str, scale: float,
 
     def run(ctx: BenchContext) -> List[Metric]:
         from repro.core.pipeline import PropellerPipeline
-        from repro.hwmodel import simulate_frontend
-        from repro.hwmodel.frontend import SCALED_PARAMS
-        from repro.profiles import generate_trace
+        from repro.hwmodel import measure_frontend
 
         program = _generate(ctx, preset_name, scale)
         metrics: List[Metric] = []
@@ -503,15 +498,11 @@ def _drift_sweep_scenario(preset_name: str, scale: float,
                     rates[mode] = report.gauges["pgo.match_rate"]
                 else:
                     rates[mode] = report.profile_recovery["recovered_match_rate"]
-                cycles = {}
-                for which, outcome in (("baseline", result.baseline),
-                                       ("optimized", result.optimized)):
-                    exe = outcome.executable
-                    trace = generate_trace(
-                        exe, max_blocks=ctx.suite.trace_blocks, seed=77)
-                    cycles[which] = simulate_frontend(
-                        exe, trace, SCALED_PARAMS).cycles
-                improvements[mode] = cycles["baseline"] / cycles["optimized"] - 1.0
+                base, opt = (
+                    measure_frontend(outcome.executable,
+                                     max_blocks=ctx.suite.trace_blocks).cycles
+                    for outcome in (result.baseline, result.optimized))
+                improvements[mode] = base / opt - 1.0
                 metrics.append(Metric(
                     f"{tag}.{mode}.match_rate", rates[mode], "frac",
                     gate="exact", direction="higher",

@@ -68,10 +68,11 @@ class PipelineReport:
     counters: Mapping[str, float] = field(default_factory=dict)
     gauges: Mapping[str, float] = field(default_factory=dict)
     #: Hardware-counter scorecard per binary (``baseline``/``optimized``
-    #: -> Table 4 label -> value), as produced by
-    #: ``PipelineResult.frontend_counters()``.  Empty when the run did
-    #: not simulate the frontend (it is an opt-in measurement, not an
-    #: accounting byproduct).
+    #: -> Table 4 label -> value), one :func:`repro.hwmodel.measure_frontend`
+    #: pass per binary, filled by ``PipelineResult.report(
+    #: include_frontend=True)``.  Empty when the run did not simulate
+    #: the frontend (it is an opt-in measurement, not an accounting
+    #: byproduct).
     frontend: Mapping[str, Mapping[str, float]] = field(default_factory=dict)
     #: Per-function frontend attribution (``baseline``/``optimized``
     #: -> function -> counter -> value), as produced by

@@ -4,8 +4,10 @@ Commands mirror the paper's tool flow:
 
 * ``generate``  -- synthesize a workload (Table 2 presets) to JSON;
 * ``presets``   -- list the available workload presets;
-* ``profile``   -- build the metadata binary and collect an LBR profile;
-* ``wpa``       -- the create_llvm_prof analogue: profile -> cc_prof/ld_prof;
+* ``profile``   -- build the metadata binary and collect an LBR profile
+  (the stage graph run through ``lbr-profile``);
+* ``wpa``       -- the create_llvm_prof analogue: profile -> cc_prof/ld_prof
+  (the stage graph run through ``wpa``, with the perf data read from disk);
 * ``optimize``  -- run all four phases and report;
 * ``compare``   -- Propeller vs BOLT on one workload;
 * ``edit``      -- apply a seeded edit script to a workload (the "next
@@ -173,10 +175,19 @@ def cmd_generate(args) -> int:
     return 0
 
 
+def _warn_degraded(execution) -> None:
+    reasons = execution.degraded_reasons()
+    if reasons:
+        log.warning("degraded run: %s fell back (retry budget "
+                    "exhausted)", ", ".join(reasons))
+
+
 def cmd_profile(args) -> int:
     program = load_program(args.program)
     pipe = PropellerPipeline(program, _config(args))
-    perf = pipe.collect_perf()
+    execution = pipe.run_stages(stop_after="lbr-profile")
+    _warn_degraded(execution)
+    perf = execution.value("perf")
     save_perf_data(perf, args.output)
     log.info("%s: %d samples, %d records (%s)",
              args.output, perf.num_samples, perf.num_records,
@@ -185,10 +196,19 @@ def cmd_profile(args) -> int:
 
 
 def cmd_wpa(args) -> int:
+    from repro.core.stages import ArtifactSet, StageRecord
+
     program = load_program(args.program)
     pipe = PropellerPipeline(program, _config(args))
     perf = load_perf_data(args.perf)
-    result = pipe.analyze(perf)
+    # The profile on disk stands in for the lbr-profile stage; its
+    # content digest keys the cached analysis.
+    collected = ArtifactSet(
+        values={"perf": perf, "perf_key": perf.digest()},
+        records={"lbr-profile": StageRecord("lbr-profile", status="replayed")})
+    execution = pipe.run_stages(stop_after="wpa", resume=collected)
+    _warn_degraded(execution)
+    result = execution.value("wpa_result")
     Path(args.cc_prof).write_text(result.cc_prof_text)
     Path(args.ld_prof).write_text(result.ld_prof_text)
     log.info("%d hot functions; peak memory %s",
@@ -329,9 +349,8 @@ def cmd_stages(args) -> int:
 
 def cmd_compare(args) -> int:
     from repro.bolt import BoltError, BoltStartupCrash, check_startup, run_bolt
-    from repro.hwmodel import simulate_frontend
+    from repro.hwmodel import measure_frontend
     from repro.hwmodel.frontend import DEFAULT_PARAMS
-    from repro.profiles import generate_trace
 
     program = load_program(args.program)
     pipe = PropellerPipeline(program, _config(args))
@@ -357,8 +376,7 @@ def cmd_compare(args) -> int:
                    "vs baseline"])
     base_cycles: Optional[float] = None
     for label, exe in rows:
-        trace = generate_trace(exe, max_blocks=args.blocks, seed=77)
-        c = simulate_frontend(exe, trace, params)
+        c = measure_frontend(exe, max_blocks=args.blocks, params=params)
         if base_cycles is None:
             base_cycles = c.cycles
         table.add_row(label, f"{c.cycles / 1e6:.2f}M", c.l1i_miss, c.itlb_miss,

@@ -5,6 +5,7 @@ import pytest
 from repro.hwmodel import (
     SetAssociativeCache,
     SkylakeParams,
+    measure_frontend,
     record_heatmap,
     render_heatmap,
     simulate_frontend,
@@ -142,6 +143,20 @@ class TestPerFunctionAttribution:
         assert attributed.as_dict() == plain.as_dict()
         assert plain.per_function == {}
         assert attributed.per_function
+
+    def test_measure_frontend_is_trace_then_simulate(self, pipeline_result):
+        """``measure_frontend`` is exactly the protocol it names: a
+        block-budgeted trace, then one simulation -- totals and the
+        per-function attribution included."""
+        exe = pipeline_result.optimized.executable
+        params = DEFAULT_PARAMS.scaled(8)
+        measured = measure_frontend(exe, max_blocks=20_000, seed=5,
+                                    params=params, by_function=True)
+        trace = generate_trace(exe, max_blocks=20_000, seed=5)
+        direct = simulate_frontend(exe, trace, params, by_function=True)
+        assert measured.as_dict() == direct.as_dict()
+        assert measured.per_function
+        assert measured.per_function == direct.per_function
 
     def test_shares_sum_to_totals(self, pipeline_result):
         exe = pipeline_result.optimized.executable

@@ -10,8 +10,7 @@ import pytest
 from repro.bolt import BoltOptions, perf2bolt, run_bolt
 from repro.core.pipeline import PipelineConfig, PropellerPipeline
 from repro.core.wpa import WPAOptions, analyze
-from repro.hwmodel import simulate_frontend
-from repro.hwmodel.frontend import DEFAULT_PARAMS
+from repro.hwmodel import measure_frontend
 from repro.profiles import generate_trace
 from repro.synth import PRESETS, generate_workload
 
@@ -35,16 +34,14 @@ def world():
 @pytest.fixture(scope="module")
 def counters(world):
     _pipe, result, _bm, bolt = world
-    params = DEFAULT_PARAMS.scaled(16)
-    out = {}
-    for name, exe in (
-        ("base", result.baseline.executable),
-        ("prop", result.optimized.executable),
-        ("bolt", bolt.executable),
-    ):
-        trace = generate_trace(exe, max_blocks=250_000, seed=77)
-        out[name] = simulate_frontend(exe, trace, params)
-    return out
+    return {
+        name: measure_frontend(exe, max_blocks=250_000)
+        for name, exe in (
+            ("base", result.baseline.executable),
+            ("prop", result.optimized.executable),
+            ("bolt", bolt.executable),
+        )
+    }
 
 
 class TestPerformanceShape:

@@ -120,22 +120,16 @@ class TestEndToEnd:
     @pytest.mark.slow
     @pytest.mark.integration
     def test_prefetch_does_not_regress(self, small_program):
-        from repro.hwmodel import simulate_frontend
-        from repro.hwmodel.frontend import DEFAULT_PARAMS
-        from repro.profiles import generate_trace
+        from repro.hwmodel import measure_frontend
 
         base_cfg = PipelineConfig(lbr_branches=120_000, pgo_steps=60_000,
                                   enforce_ram=False)
         pf_cfg = PipelineConfig(lbr_branches=120_000, pgo_steps=60_000,
                                 enforce_ram=False,
                                 wpa=WPAOptions(insert_prefetches=True))
-        params = DEFAULT_PARAMS.scaled(16)
         cycles = {}
         for label, cfg in (("plain", base_cfg), ("prefetch", pf_cfg)):
             result = PropellerPipeline(small_program, cfg).run()
-            trace = generate_trace(result.optimized.executable,
-                                   max_blocks=150_000, seed=77)
-            cycles[label] = simulate_frontend(
-                result.optimized.executable, trace, params
-            ).cycles
+            cycles[label] = measure_frontend(
+                result.optimized.executable, max_blocks=150_000).cycles
         assert cycles["prefetch"] < 1.02 * cycles["plain"]

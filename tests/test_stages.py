@@ -59,8 +59,7 @@ REGEN = bool(os.environ.get("REPRO_REGEN_GOLDEN"))
 def _ctx() -> StageContext:
     """A StageContext over a stub pipeline (tracer + counters only)."""
     return StageContext(SimpleNamespace(
-        config=None, tracer=Tracer(), counters=Counters(),
-        buildsys=None, solve_cache=None))
+        config=None, tracer=Tracer(), counters=Counters()))
 
 
 def _stage(name, run, **kwargs) -> Stage:
@@ -300,17 +299,22 @@ class TestExecution:
         assert [s.name for s in ctx.tracer.spans] == ["phase:joint"]
 
     def test_stop_after_runs_a_prefix(self):
-        a, b = Artifact("a"), Artifact("b")
+        """Only the stop stage and what it consumes from run: not an
+        earlier-registered stage it does not depend on."""
+        a, b, c = Artifact("a"), Artifact("b"), Artifact("c")
         graph = StageGraph([
+            _stage("aside", _produce(c=1), outputs=(c,)),
             _stage("one", _produce(a=1), outputs=(a,)),
             _stage("two", _produce(b=1), inputs=(a,), outputs=(b,)),
         ])
         execution = graph.execute(_ctx(), {}, stop_after="one")
         assert not execution.complete
+        assert list(execution.artifacts.records) == ["one"]
         assert execution.value("a") == 1
-        with pytest.raises(StageGraphError) as err:
-            execution.value("b")
-        assert err.value.kind == "missing-producer"
+        for name in ("b", "c"):
+            with pytest.raises(StageGraphError) as err:
+                execution.value(name)
+            assert err.value.kind == "missing-producer"
 
 
 # ----------------------------------------------------------------------

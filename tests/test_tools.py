@@ -124,21 +124,29 @@ class TestCLI:
         assert "propeller phase 4" in report.read_text()
 
     def test_profile_and_wpa(self, tmp_path):
+        """``profile`` then ``wpa`` (two partial runs of the stage graph)
+        write the same directives as one full library run."""
         prog = tmp_path / "p.json"
         main(["generate", "--preset", "531.deepsjeng", "--scale", "0.3",
               "--seed", "7", "-o", str(prog)])
+        flags = ["--lbr-branches", "40000", "--pgo-steps", "20000"]
         lbr = tmp_path / "p.lbr"
-        assert main(["profile", str(prog), "-o", str(lbr),
-                     "--lbr-branches", "40000", "--pgo-steps", "20000"]) == 0
+        assert main(["profile", str(prog), "-o", str(lbr), *flags]) == 0
         cc = tmp_path / "cc.txt"
         ld = tmp_path / "ld.txt"
         assert main(["wpa", str(prog), str(lbr), "--cc-prof", str(cc),
-                     "--ld-prof", str(ld), "--pgo-steps", "20000"]) == 0
+                     "--ld-prof", str(ld), *flags]) == 0
         from repro.core.bbsections import parse_cc_prof, parse_ld_prof
+        from repro.core.pipeline import PipelineConfig, PropellerPipeline
 
         clusters = parse_cc_prof(cc.read_text())
         assert clusters
         assert parse_ld_prof(ld.read_text())
+        full = PropellerPipeline(
+            load_program(prog),
+            PipelineConfig(lbr_branches=40000, pgo_steps=20000)).run()
+        assert cc.read_text() == full.wpa_result.cc_prof_text
+        assert ld.read_text() == full.wpa_result.ld_prof_text
 
     def test_profile_honors_lbr_period(self, tmp_path):
         prog = tmp_path / "p.json"
